@@ -223,6 +223,7 @@ int main(int argc, char** argv) {
     if (line.find(';') == std::string::npos) continue;
 
     WallTimer timer;
+    const size_t hits_before = engine.recycler_stats().hits;
     auto result = engine.Execute(buffer);
     buffer.clear();
     if (!result.ok()) {
@@ -232,9 +233,8 @@ int main(int argc, char** argv) {
     if (!result->names.empty()) {
       std::printf("%s", result->ToText(40).c_str());
     }
-    std::printf("-- %.2f ms (%zu MAL instructions, %zu recycled)\n",
-                timer.ElapsedMillis(), engine.last_run_stats().instructions,
-                engine.last_run_stats().recycled);
+    std::printf("-- %.2f ms (%zu recycler hits)\n", timer.ElapsedMillis(),
+                engine.recycler_stats().hits - hits_before);
   }
   std::printf("\n");
   return 0;

@@ -8,8 +8,12 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <string>
+#include <variant>
 
+#include "mal/optimizer.h"
 #include "sql/engine.h"
+#include "sql/parser.h"
 
 int main() {
   mammoth::sql::Engine engine;
@@ -31,26 +35,37 @@ int main() {
                      "('Bob Fosse', 1927), ('Will Smith', 1968)")
             .status());
 
+  // The MAL program the engine runs for a SELECT: the SQL front-end's
+  // output, then the optimizer pipeline over it.
+  auto plan = [&](const std::string& sql) {
+    auto stmt = mammoth::sql::Parse(sql);
+    check(stmt.status());
+    auto prog = engine.Compile(std::get<mammoth::sql::SelectStmt>(*stmt));
+    check(prog.status());
+    const mammoth::mal::PipelineReport report =
+        mammoth::mal::OptimizePipeline(&*prog);
+    return prog->ToString() + "-- " + report.ToString() + "\n";
+  };
+
   // The paper's example: R := select(age, 1927).
-  auto result =
-      engine.Execute("SELECT name, age FROM people WHERE age = 1927");
+  const std::string point = "SELECT name, age FROM people WHERE age = 1927";
+  auto result = engine.Execute(point);
   check(result.status());
 
-  std::printf("Query: SELECT name, age FROM people WHERE age = 1927\n\n");
+  std::printf("Query: %s\n\n", point.c_str());
   std::printf("MAL plan (front-end output, after the optimizer pipeline):\n%s\n",
-              engine.last_plan_text().c_str());
+              plan(point).c_str());
   std::printf("Result:\n%s\n", result->ToText().c_str());
 
   // Aggregation with grouping, ordering, and a range predicate — the MAL
   // optimizer fuses the >=/<= pair into one range select.
-  result = engine.Execute(
+  const std::string grouped =
       "SELECT age, count(*) FROM people "
-      "WHERE age >= 1900 AND age <= 1970 GROUP BY age ORDER BY age");
+      "WHERE age >= 1900 AND age <= 1970 GROUP BY age ORDER BY age";
+  result = engine.Execute(grouped);
   check(result.status());
-  std::printf("Grouped query (%zu MAL instructions, %s):\n%s\n",
-              engine.last_run_stats().instructions,
-              engine.last_opt_report().ToString().c_str(),
-              result->ToText().c_str());
+  std::printf("Grouped query plan:\n%s\nResult:\n%s\n",
+              plan(grouped).c_str(), result->ToText().c_str());
 
   // Updates go to delta BATs; queries see them immediately (§3.2).
   check(engine.Execute("DELETE FROM people WHERE name = 'Will Smith'")

@@ -51,8 +51,8 @@ void RejectSync(int fd, const Status& error) {
 
 }  // namespace
 
-Reactor::Reactor(Server* server, const Config& config)
-    : server_(server), config_(config) {}
+Reactor::Reactor(Server* server)
+    : server_(server), config_(server->config_) {}
 
 Reactor::~Reactor() { Stop(); }
 
@@ -80,7 +80,9 @@ Status Reactor::Start(int listen_fd) {
   ev.data.u64 = kWakeKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  const int nworkers = std::max(1, config_.workers);
+  const int nworkers = config_.workers > 0
+                           ? config_.workers
+                           : std::max(2, config_.admission.max_inflight);
   workers_.reserve(static_cast<size_t>(nworkers));
   for (int i = 0; i < nworkers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -109,6 +111,11 @@ void Reactor::Stop() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
+  // Every request has run; roll back what the loop never got to.
+  for (auto& [id, closing] : closing_) {
+    server_->engine_.AbortSession(closing.session);
+  }
+  closing_.clear();
   if (wake_fd_ >= 0) {
     ::close(wake_fd_);
     wake_fd_ = -1;
@@ -215,7 +222,6 @@ void Reactor::Accept() {
     const uint64_t id = server_->next_session_id_.fetch_add(1);
     ++server_->sessions_total_;
     ++server_->sessions_open_;
-    ++sessions_open_;
     auto owned = std::make_unique<Conn>();
     Conn* conn = owned.get();
     conn->fd = fd;
@@ -224,7 +230,7 @@ void Reactor::Accept() {
     conns_[id] = std::move(owned);
     HelloInfo hello;
     hello.session_id = id;
-    hello.server_name = server_->config_.name;
+    hello.server_name = config_.name;
     hello.caps = server_->AdvertisedCaps();
     conn->wbuf = EncodeFrame(FrameType::kHello, EncodeHello(hello));
     epoll_event ev{};
@@ -344,8 +350,8 @@ bool Reactor::ProcessBuffer(Conn* conn) {
         const int fd = conn->fd;
         std::string leftover = std::move(conn->rbuf);
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+        EndSession(conn->id, std::move(conn->session), 0);
         conns_.erase(conn->id);
-        --sessions_open_;
         --server_->sessions_open_;
         if (Status adopted = server_->AdoptReplica(fd, sub->start_lsn,
                                                    std::move(leftover));
@@ -368,7 +374,7 @@ bool Reactor::ProcessBuffer(Conn* conn) {
             conn->plain_backlog.push_back(std::move(job->sql));
           } else {
             Task task;
-            task.sql = std::move(job->sql);
+            task.job = std::move(*job);
             Submit(conn, std::move(task));
           }
         } else {
@@ -380,12 +386,7 @@ bool Reactor::ProcessBuffer(Conn* conn) {
             return true;
           }
           Task task;
-          task.tagged = true;
-          task.seq = job->seq;
-          task.is_execute = job->is_execute;
-          task.sql = std::move(job->sql);
-          task.stmt_id = job->stmt_id;
-          task.params = std::move(job->params);
+          task.job = std::move(*job);
           Submit(conn, std::move(task));
         }
         break;
@@ -399,7 +400,7 @@ void Reactor::Submit(Conn* conn, Task task) {
   task.conn_id = conn->id;
   task.caps = conn->caps;
   task.session = conn->session;
-  if (task.tagged) {
+  if (task.job.seq != 0) {
     ++pipelined_;
   } else {
     conn->plain_inflight = true;
@@ -426,18 +427,11 @@ void Reactor::WorkerLoop() {
       server_->engine_.AbortSession(task.session);
       continue;
     }
-    Server::WireJob job;
-    job.seq = task.seq;
-    job.is_execute = task.is_execute;
-    job.sql = std::move(task.sql);
-    job.stmt_id = task.stmt_id;
-    job.params = std::move(task.params);
     Completion done;
     done.conn_id = task.conn_id;
-    done.seq = task.seq;
-    done.tagged = task.tagged;
-    done.bytes = server_->RunJob(job, task.caps, task.session);
-    if (task.tagged) --pipelined_;
+    done.seq = task.job.seq;
+    done.bytes = server_->RunJob(task.job, task.caps, task.session);
+    if (done.seq != 0) --pipelined_;
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back(std::move(done));
@@ -454,15 +448,25 @@ void Reactor::ApplyCompletions() {
   }
   for (Completion& c : batch) {
     auto it = conns_.find(c.conn_id);
-    if (it == conns_.end()) continue;  // connection died mid-flight
+    if (it == conns_.end()) {
+      // The connection died mid-flight; its last completion releases the
+      // disconnect rollback.
+      auto closing = closing_.find(c.conn_id);
+      if (closing != closing_.end() && --closing->second.outstanding == 0) {
+        sql::SessionPtr session = std::move(closing->second.session);
+        closing_.erase(closing);
+        EndSession(c.conn_id, std::move(session), 0);
+      }
+      continue;
+    }
     Conn* conn = it->second.get();
-    if (c.tagged) {
+    if (c.seq != 0) {
       conn->inflight.erase(c.seq);
     } else {
       conn->plain_inflight = false;
       if (!conn->plain_backlog.empty() && !conn->want_close) {
         Task task;
-        task.sql = std::move(conn->plain_backlog.front());
+        task.job.sql = std::move(conn->plain_backlog.front());
         conn->plain_backlog.pop_front();
         Submit(conn, std::move(task));
       }
@@ -555,22 +559,36 @@ void Reactor::CloseConn(uint64_t id) {
   Conn* conn = it->second.get();
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
-  // Disconnect auto-rollback: an open transaction must not outlive its
-  // connection. Runs on a worker — it serializes behind any in-flight
-  // statement of this session, which must not stall the loop thread.
-  if (conn->session != nullptr && conn->session->in_transaction()) {
-    Task abort;
-    abort.abort_session = true;
-    abort.session = conn->session;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      queue_.push_back(std::move(abort));
-    }
-    queue_cv_.notify_one();
-  }
+  // Backlogged plain queries never run; submitted requests still do.
+  EndSession(id, std::move(conn->session),
+             conn->inflight.size() + (conn->plain_inflight ? 1 : 0));
   conns_.erase(it);
-  --sessions_open_;
   --server_->sessions_open_;
+}
+
+void Reactor::EndSession(uint64_t conn_id, sql::SessionPtr session,
+                         size_t outstanding) {
+  if (session == nullptr) return;
+  if (outstanding > 0) {
+    // A request still queued or running (a BEGIN, say) could reopen a
+    // transaction after an abort queued now: wait for it to complete.
+    closing_[conn_id] = ClosingSession{std::move(session), outstanding};
+    return;
+  }
+  // Every request of the session has completed and been applied on this
+  // thread, so its transaction state is stable to read.
+  if (!session->in_transaction()) return;
+  // An open transaction must not outlive its connection. The abort runs
+  // on a worker: it takes the session and engine locks, which must not
+  // stall the loop thread.
+  Task abort;
+  abort.abort_session = true;
+  abort.session = std::move(session);
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_.push_back(std::move(abort));
+  }
+  queue_cv_.notify_one();
 }
 
 }  // namespace mammoth::server

@@ -14,16 +14,15 @@
 #include <vector>
 
 #include "common/result.h"
+#include "server/server.h"
 #include "server/wire.h"
 #include "sql/engine.h"
 
 namespace mammoth::server {
 
-class Server;
-
-/// The epoll front-end (the C10K half of this server): one event-loop
-/// thread owns every client socket via non-blocking I/O — per-connection
-/// read/write buffers, incremental frame reassembly — and hands complete
+/// The server's front-end: one event-loop thread owns every client
+/// socket via non-blocking I/O — per-connection read/write buffers,
+/// incremental frame reassembly — and hands complete
 /// request frames to a bounded worker pool that executes them through
 /// the server's AdmissionController. Responses come back over an eventfd
 /// and are flushed under write-readiness, so ten thousand mostly-idle
@@ -49,17 +48,12 @@ class Server;
 /// response backlog exceeds `max_wbuf_bytes` is dropped as a slow
 /// consumer. Both bounds keep a hostile pipeliner from ballooning
 /// server memory.
+///
+/// Every bound and the worker count come from the owning server's
+/// ServerConfig.
 class Reactor {
  public:
-  struct Config {
-    int workers = 2;
-    int max_pipeline = 32;
-    size_t max_wbuf_bytes = 64u << 20;
-    int max_sessions = 32;
-    int drain_force_millis = 10000;
-  };
-
-  Reactor(Server* server, const Config& config);
+  explicit Reactor(Server* server);
   ~Reactor();
 
   /// Takes over accepting on `listen_fd` (borrowed; the server closes it
@@ -76,7 +70,6 @@ class Reactor {
   /// are closed with their buffers, then all threads join. Idempotent.
   void Stop();
 
-  int sessions_open() const { return sessions_open_.load(); }
   uint64_t pipelined_in_flight() const { return pipelined_.load(); }
 
  private:
@@ -109,21 +102,22 @@ class Reactor {
     /// thread) because the abort serializes behind any in-flight
     /// statement of the same session.
     bool abort_session = false;
-    bool tagged = false;  ///< counts toward pipelined_in_flight
-    // Decoded job fields mirror Server::WireJob (kept as a blob here to
-    // avoid a circular include; see reactor.cc).
-    uint32_t seq = 0;
-    bool is_execute = false;
-    std::string sql;
-    uint64_t stmt_id = 0;
-    std::vector<Value> params;
+    /// job.seq != 0 marks a seq-tagged request (counts toward
+    /// pipelined_in_flight); 0 is a plain kQuery.
+    Server::WireJob job;
   };
 
   struct Completion {
     uint64_t conn_id = 0;
-    uint32_t seq = 0;
-    bool tagged = false;
+    uint32_t seq = 0;  ///< 0 for a plain kQuery
     std::string bytes;  ///< one fully encoded response frame
+  };
+
+  /// The engine session of a closed connection whose requests are still
+  /// executing; its disconnect rollback waits for the last completion.
+  struct ClosingSession {
+    sql::SessionPtr session;
+    size_t outstanding = 0;  ///< requests not yet completed
   };
 
   void Loop();
@@ -146,11 +140,17 @@ class Reactor {
   void UpdateEvents(Conn* conn);
   void FatalError(Conn* conn, const Status& error);
   void CloseConn(uint64_t id);
+  /// Disconnect auto-rollback for a connection that is gone. With
+  /// `outstanding` requests still executing it parks the session in
+  /// closing_ until their completions arrive; otherwise it queues an
+  /// abort when a transaction is open.
+  void EndSession(uint64_t conn_id, sql::SessionPtr session,
+                  size_t outstanding);
   void DrainNotify(Conn* conn);
   void Wake();
 
   Server* const server_;
-  const Config config_;
+  const ServerConfig& config_;  ///< the server's, outlives the reactor
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -159,6 +159,7 @@ class Reactor {
   std::vector<std::thread> workers_;
 
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
+  std::unordered_map<uint64_t, ClosingSession> closing_;  ///< loop thread
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -172,7 +173,6 @@ class Reactor {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> stopped_{false};
-  std::atomic<int> sessions_open_{0};
   std::atomic<uint64_t> pipelined_{0};
 };
 

@@ -2,39 +2,23 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
 #include "core/bat.h"
 #include "parallel/exec_context.h"
 #include "repl/applier.h"
-#include "repl/repl_wire.h"
 #include "repl/source.h"
 #include "server/reactor.h"
 
 namespace mammoth::server {
 
 namespace {
-
-/// Accept/read loops wake at this cadence to observe drain/stop flags,
-/// so shutdown latency is bounded even with idle peers.
-constexpr int kPollMillis = 100;
-constexpr size_t kRecvChunk = 64 * 1024;
-
-/// Per-send() bound on session sockets: a peer that stops reading makes
-/// send() fail with EAGAIN after this long instead of wedging the
-/// session (and thereby Stop()) forever.
-constexpr int kSendTimeoutSec = 5;
 
 /// Uppercased, whitespace-normalized command text (surrounding blanks
 /// and a trailing ';' dropped, interior runs collapsed to one space) —
@@ -263,26 +247,14 @@ Status Server::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
 
-  if (config_.frontend == ServerConfig::Frontend::kEpoll) {
-    Reactor::Config rc;
-    rc.workers = config_.workers > 0
-                     ? config_.workers
-                     : std::max(2, config_.admission.max_inflight);
-    rc.max_pipeline = config_.max_pipeline;
-    rc.max_wbuf_bytes = config_.max_wbuf_bytes;
-    rc.max_sessions = config_.max_sessions;
-    rc.drain_force_millis = config_.drain_force_millis;
-    reactor_ = std::make_unique<Reactor>(this, rc);
-    if (Status st = reactor_->Start(listen_fd_); !st.ok()) {
-      reactor_.reset();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      started_.store(false);
-      return st;
-    }
-    return Status::OK();
+  reactor_ = std::make_unique<Reactor>(this);
+  if (Status st = reactor_->Start(listen_fd_); !st.ok()) {
+    reactor_.reset();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    started_.store(false);
+    return st;
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
@@ -301,55 +273,9 @@ void Server::Stop() {
   if (repl::ReplicaApplier* applier = repl_applier(); applier != nullptr) {
     applier->Stop();
   }
-  if (reactor_ != nullptr) {
-    // The reactor bounds its own drain (drain_force_millis) against
-    // non-reading pipelined clients, then closes everything.
-    reactor_->Stop();
-    if (repl::ReplicationSource* src = repl_source(); src != nullptr) {
-      src->Stop();
-    }
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return;
-  }
-  // Sessions notice draining_ within one poll tick, finish their
-  // in-flight query (delivering its result), send a final Error frame
-  // and exit. The accept loop keeps rejecting new connections with an
-  // Error frame for the whole drain window. Past the force deadline,
-  // surviving session sockets are shut down so a peer blocked in
-  // send()/recv() (e.g. a client that stopped reading its result)
-  // cannot wedge shutdown; SO_SNDTIMEO bounds each send regardless.
-  const auto force_at =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.drain_force_millis);
-  bool forced = false;
-  while (sessions_open_.load() > 0) {
-    if (!forced && std::chrono::steady_clock::now() >= force_at) {
-      forced = true;
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      for (auto& [id, handle] : sessions_) {
-        if (handle.fd >= 0) ::shutdown(handle.fd, SHUT_RDWR);
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stopping_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ReapFinishedSessions();
-  std::vector<std::thread> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (auto& [id, handle] : sessions_) {
-      leftovers.push_back(std::move(handle.thread));
-    }
-    sessions_.clear();
-    finished_sessions_.clear();
-  }
-  for (std::thread& t : leftovers) {
-    if (t.joinable()) t.join();
-  }
+  // The reactor bounds its own drain (drain_force_millis) against
+  // non-reading pipelined clients, then closes everything.
+  if (reactor_ != nullptr) reactor_->Stop();
   if (repl::ReplicationSource* src = repl_source(); src != nullptr) {
     src->Stop();
   }
@@ -357,176 +283,6 @@ void Server::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-}
-
-void Server::ReapFinishedSessions() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (uint64_t id : finished_sessions_) {
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) continue;
-      done.push_back(std::move(it->second.thread));
-      sessions_.erase(it);
-    }
-    finished_sessions_.clear();
-  }
-  // Join outside the lock: these threads have already passed their last
-  // sessions_mu_ acquisition, so the joins cannot deadlock and only
-  // wait out thread teardown.
-  for (std::thread& t : done) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void Server::AcceptLoop() {
-  while (true) {
-    ReapFinishedSessions();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (stopping_.load()) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (draining_.load()) {
-      ++sessions_rejected_;
-      SendError(fd, Status::Unavailable("server draining"));
-      ::close(fd);
-      continue;
-    }
-    if (sessions_open_.load() >= config_.max_sessions) {
-      ++sessions_rejected_;
-      SendError(fd, Status::Unavailable(
-                        "session limit (" +
-                        std::to_string(config_.max_sessions) + ") reached"));
-      ::close(fd);
-      continue;
-    }
-    const uint64_t id = next_session_id_.fetch_add(1);
-    ++sessions_total_;
-    ++sessions_open_;
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    SessionHandle& handle = sessions_[id];
-    handle.fd = fd;
-    handle.thread = std::thread([this, fd, id] { SessionLoop(fd, id); });
-  }
-}
-
-void Server::SessionLoop(int fd, uint64_t session_id) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  timeval send_timeout{};
-  send_timeout.tv_sec = kSendTimeoutSec;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
-  HelloInfo hello;
-  hello.session_id = session_id;
-  hello.server_name = config_.name;
-  hello.caps = AdvertisedCaps();
-  uint32_t session_caps = 0;
-  bool detached = false;  ///< socket handed to the replication source
-  // Per-connection engine session: BEGIN/COMMIT/ROLLBACK state lives
-  // here; a disconnect mid-transaction rolls it back below.
-  sql::SessionPtr engine_session = engine_.CreateSession();
-  if (SendFrame(fd, FrameType::kHello, EncodeHello(hello)).ok()) {
-    std::string buffer;
-    bool alive = true;
-    while (alive) {
-      // Drain complete frames already buffered before blocking again.
-      Frame frame;
-      auto consumed = DecodeFrame(buffer.data(), buffer.size(), &frame);
-      if (!consumed.ok()) {
-        SendError(fd, consumed.status());
-        break;
-      }
-      if (*consumed > 0) {
-        buffer.erase(0, *consumed);
-        if (frame.type == FrameType::kClose) break;
-        if (frame.type == FrameType::kCaps) {
-          // Capability negotiation: keep only bits we advertised.
-          auto caps = DecodeCaps(frame.payload);
-          if (!caps.ok()) {
-            SendError(fd, caps.status());
-            break;
-          }
-          session_caps = *caps & hello.caps;
-          continue;
-        }
-        if (frame.type == FrameType::kPrepare) {
-          auto sp = SplitSeq(frame.payload);
-          if (!sp.ok()) {
-            SendError(fd, sp.status());
-            break;
-          }
-          if (!SendBytes(fd, HandlePrepareFrame(sp->seq,
-                                                std::string(sp->rest),
-                                                session_caps))
-                   .ok()) {
-            break;
-          }
-          continue;
-        }
-        if (frame.type == FrameType::kReplSubscribe) {
-          // The subscriber's socket leaves the session machinery: the
-          // replication source owns it from here (or the session dies).
-          auto sub = repl::DecodeSubscribe(frame.payload);
-          if (!sub.ok()) {
-            SendError(fd, sub.status());
-            break;
-          }
-          Status adopted =
-              AdoptReplica(fd, sub->start_lsn, std::move(buffer));
-          if (!adopted.ok()) {
-            SendError(fd, adopted);
-            break;
-          }
-          detached = true;
-          break;
-        }
-        // kQuery / kQuerySeq / kExecute. This serial front-end runs each
-        // frame to completion before reading the next, so seq-tagged
-        // requests cannot overlap here (overlap is the reactor's job);
-        // the framing still works, keeping the protocol uniform.
-        auto job = DecodeJob(frame);
-        if (!job.ok()) {
-          SendError(fd, job.status());
-          break;
-        }
-        if (!SendBytes(fd, RunJob(*job, session_caps, engine_session))
-                 .ok()) {
-          break;
-        }
-        continue;
-      }
-      if (draining_.load()) {
-        SendError(fd, Status::Unavailable("server draining"));
-        break;
-      }
-      pollfd pfd{fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, kPollMillis);
-      if (ready < 0) break;
-      if (ready == 0) continue;
-      char chunk[kRecvChunk];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;  // peer closed or error
-      bytes_in_ += static_cast<uint64_t>(n);
-      buffer.append(chunk, static_cast<size_t>(n));
-    }
-  }
-  // A connection dying (or closing) inside BEGIN..COMMIT must not leave
-  // pending rows or a write claim behind: auto-rollback.
-  engine_.AbortSession(engine_session);
-  {
-    // Invalidate the handle's fd before closing so Stop()'s forced
-    // shutdown() cannot touch a recycled descriptor, and announce
-    // completion so the accept loop reaps (joins) this thread.
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(session_id);
-    if (it != sessions_.end()) it->second.fd = -1;
-    finished_sessions_.push_back(session_id);
-  }
-  if (!detached) ::close(fd);
-  --sessions_open_;
 }
 
 Result<Server::WireJob> Server::DecodeJob(const Frame& frame) {
@@ -627,31 +383,6 @@ std::string Server::HandlePrepareFrame(uint32_t seq, const std::string& text,
   return EncodeFrame(FrameType::kPrepared, EncodePrepared(seq, reply, caps));
 }
 
-Status Server::SendFrame(int fd, FrameType type, std::string_view payload) {
-  return SendBytes(fd, EncodeFrame(type, payload));
-}
-
-Status Server::SendBytes(int fd, std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      // Includes EAGAIN from SO_SNDTIMEO: a peer that stopped reading
-      // forfeits the session rather than wedging it.
-      return Status::IOError("send(): connection lost or timed out");
-    }
-    sent += static_cast<size_t>(n);
-    bytes_out_ += static_cast<uint64_t>(n);
-  }
-  return Status::OK();
-}
-
-Status Server::SendError(int fd, const Status& error) {
-  return SendFrame(fd, FrameType::kError, EncodeError(error));
-}
-
 ServerStatsSnapshot Server::stats() const {
   ServerStatsSnapshot s;
   s.sessions_total = sessions_total_.load();
@@ -670,8 +401,8 @@ ServerStatsSnapshot Server::stats() const {
   s.txn = engine_.txn_stats();
   s.wire_result_bytes_saved = wire_result_bytes_saved_.load();
   s.prepared = engine_.prepared_stats();
+  s.epoll_sessions = static_cast<uint64_t>(s.sessions_open);
   if (reactor_ != nullptr) {
-    s.epoll_sessions = static_cast<uint64_t>(reactor_->sessions_open());
     s.pipelined_in_flight = reactor_->pipelined_in_flight();
   }
   wal::Wal* wal = nullptr;

@@ -6,8 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -29,30 +27,21 @@ namespace mammoth::server {
 class Reactor;
 
 struct ServerConfig {
-  /// Front-end architecture. kEpoll (default) multiplexes every session
-  /// over one event-loop thread with non-blocking sockets and executes
-  /// requests on a bounded worker pool — connections are cheap (an fd
-  /// plus buffers), so tens of thousands can stay open. kThreads is the
-  /// legacy thread-per-connection front-end, kept as the benchmark
-  /// baseline and fallback.
-  enum class Frontend { kEpoll, kThreads };
-  Frontend frontend = Frontend::kEpoll;
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().
   uint16_t port = 0;
-  /// Bound on concurrently connected sessions (a thread each in
-  /// kThreads mode, an fd + buffers in kEpoll mode); connections past
-  /// the bound are rejected with an Error frame.
+  /// Bound on concurrently connected sessions (an fd plus buffers
+  /// each); connections past the bound are rejected with an Error frame.
   int max_sessions = 32;
-  /// Reactor worker threads executing requests (kEpoll only). 0 derives
+  /// Reactor worker threads executing requests. 0 derives
   /// max(2, admission.max_inflight) so admission, not the pool, is the
   /// concurrency bottleneck.
   int workers = 0;
   /// Per-connection cap on pipelined requests in flight; a connection at
-  /// the cap stops being read until responses drain (kEpoll only).
+  /// the cap stops being read until responses drain.
   int max_pipeline = 32;
   /// Per-connection cap on buffered unread response bytes; a slow
-  /// consumer past it is disconnected (kEpoll only).
+  /// consumer past it is disconnected.
   size_t max_wbuf_bytes = 64u << 20;
   /// Front-door query concurrency control (see admission.h).
   AdmissionConfig admission;
@@ -64,8 +53,8 @@ struct ServerConfig {
   /// concurrent sessions scanning one table share a physical pass (§5).
   scan::SharedScanConfig shared_scan;
   /// Stop() gives draining sessions this long to finish and deliver
-  /// results; past the deadline remaining session sockets are shut
-  /// down so a wedged peer cannot hold up shutdown.
+  /// results; past the deadline remaining connections are closed with
+  /// their buffers so a wedged peer cannot hold up shutdown.
   int drain_force_millis = 10000;
   /// Durable database directory. Empty runs fully in memory (the
   /// pre-durability behaviour); set, the server recovers the directory
@@ -109,8 +98,8 @@ struct ServerStatsSnapshot {
   /// Result bytes saved by compressed wire shipping (sessions that
   /// negotiated kWireCapCompressedResults).
   uint64_t wire_result_bytes_saved = 0;
-  /// Gauge: connections currently owned by the epoll reactor (0 in
-  /// thread-per-connection mode).
+  /// Gauge: connections currently owned by the epoll reactor (the same
+  /// counter as sessions_open; the row keeps its STATUS slot).
   uint64_t epoll_sessions = 0;
   /// Gauge: seq-tagged requests currently in flight across all reactor
   /// connections.
@@ -140,17 +129,18 @@ struct ServerStatsSnapshot {
 };
 
 /// The MammothDB network front-end: a TCP server speaking the wire.h
-/// protocol, thread-per-connection over a bounded session pool. Each
-/// session runs statements through the shared sql::Engine (which
+/// protocol. One epoll reactor (reactor.h) owns every connection, up
+/// to `max_sessions`, and hands complete requests to a bounded worker
+/// pool. Each request runs through the shared sql::Engine (which
 /// serializes DDL/DML against concurrent SELECTs; see engine.h) after
 /// passing the AdmissionController, which bounds in-flight queries and
 /// hands each one an ExecContext over the server's single TaskPool.
 ///
-/// Lifecycle: Start() binds and spawns the accept loop; BeginDrain()
-/// flips the server into reject mode (new connections and new queries
-/// get a kUnavailable Error frame; in-flight queries finish and deliver
-/// their results); Stop() drains and joins everything. The destructor
-/// calls Stop().
+/// Lifecycle: Start() binds and starts the reactor; BeginDrain() flips
+/// the server into reject mode (new connections and new queries get a
+/// kUnavailable Error frame; in-flight queries finish and deliver their
+/// results); Stop() drains and joins everything. The destructor calls
+/// Stop().
 class Server {
  public:
   explicit Server(const ServerConfig& config);
@@ -209,17 +199,8 @@ class Server {
  private:
   friend class Reactor;
 
-  /// A live session: its thread plus the socket it owns. fd is reset to
-  /// -1 (under sessions_mu_) before the session closes it, so Stop()'s
-  /// forced-drain shutdown() can never hit a recycled descriptor.
-  struct SessionHandle {
-    std::thread thread;
-    int fd = -1;
-  };
-
-  /// One executable request decoded from a client frame — produced by
-  /// both front-ends, run by RunJob() on a reactor worker or the session
-  /// thread. seq 0 means a plain (untagged) kQuery.
+  /// One executable request decoded from a client frame, run by RunJob()
+  /// on a reactor worker. seq 0 means a plain (untagged) kQuery.
   struct WireJob {
     uint32_t seq = 0;
     bool is_execute = false;  ///< kExecute (stmt_id+params) vs SQL text
@@ -228,12 +209,6 @@ class Server {
     std::vector<Value> params;
   };
 
-  void AcceptLoop();
-  void SessionLoop(int fd, uint64_t session_id);
-  /// Joins session threads that have announced completion, so a
-  /// long-running server does not accumulate one zombie thread per
-  /// connection ever served. Called from the accept loop and Stop().
-  void ReapFinishedSessions();
   /// Decodes a kQuery / kQuerySeq / kExecute frame into a job. Errors
   /// are session-fatal protocol violations.
   Result<WireJob> DecodeJob(const Frame& frame);
@@ -259,10 +234,6 @@ class Server {
   /// creates the source after startup, so bare member reads would race).
   repl::ReplicationSource* repl_source() const;
   repl::ReplicaApplier* repl_applier() const;
-  Status SendFrame(int fd, FrameType type, std::string_view payload);
-  /// Writes one pre-encoded frame with a short-write loop.
-  Status SendBytes(int fd, std::string_view bytes);
-  Status SendError(int fd, const Status& error);
 
   const ServerConfig config_;
   /// Declared before engine_ (which holds pointers to them) so they are
@@ -274,7 +245,7 @@ class Server {
   sql::Engine engine_;
   std::unique_ptr<parallel::TaskPool> pool_;
   AdmissionController admission_;
-  /// The epoll front-end (null in kThreads mode).
+  /// The epoll front-end (set by Start()).
   std::unique_ptr<Reactor> reactor_;
   /// Replication endpoints; repl_mu_ guards the *pointers* (Promote()
   /// swaps them while sessions run), the objects synchronize themselves.
@@ -288,13 +259,8 @@ class Server {
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};  // accept loop exit (after drain)
-  std::atomic<bool> stopped_{false};   // Stop() idempotence
-  std::thread accept_thread_;
+  std::atomic<bool> stopped_{false};  // Stop() idempotence
 
-  std::mutex sessions_mu_;
-  std::unordered_map<uint64_t, SessionHandle> sessions_;
-  std::vector<uint64_t> finished_sessions_;  // ids awaiting join/reap
   std::atomic<int> sessions_open_{0};
   std::atomic<uint64_t> next_session_id_{1};
 

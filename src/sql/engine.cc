@@ -374,19 +374,13 @@ Result<mal::QueryResult> Engine::RunSelect(const SelectStmt& stmt,
                                            const parallel::ExecContext& ctx,
                                            const txn::Snapshot& snap) {
   MAMMOTH_ASSIGN_OR_RETURN(mal::Program prog, Compile(stmt));
-  mal::PipelineReport opt_report;
-  if (optimize_) opt_report = mal::OptimizePipeline(&prog);
-  {
-    std::lock_guard<std::mutex> lock(intro_mu_);
-    last_opt_ = opt_report;
-  }
+  if (optimize_) mal::OptimizePipeline(&prog);
   return RunCompiledSelect(std::move(prog), stmt, ctx, snap);
 }
 
 Result<mal::QueryResult> Engine::RunCompiledSelect(
     mal::Program prog, const SelectStmt& stmt,
     const parallel::ExecContext& ctx, const txn::Snapshot& snap) {
-  std::string plan = prog.ToString();
   // Route base-table scans through the attached shared-scan scheduler
   // (if any) unless the caller's context already carries one.
   parallel::ExecContext run_ctx = ctx;
@@ -394,17 +388,7 @@ Result<mal::QueryResult> Engine::RunCompiledSelect(
     run_ctx = ctx.WithSharedScans(shared_scans_);
   }
   mal::Interpreter interp(catalog_.get(), recycler_, run_ctx, snap);
-  mal::RunStats run_stats;
-  {
-    std::lock_guard<std::mutex> lock(intro_mu_);
-    last_plan_ = std::move(plan);
-  }
-  MAMMOTH_ASSIGN_OR_RETURN(mal::QueryResult result,
-                           interp.Run(prog, &run_stats));
-  {
-    std::lock_guard<std::mutex> lock(intro_mu_);
-    last_stats_ = run_stats;
-  }
+  MAMMOTH_ASSIGN_OR_RETURN(mal::QueryResult result, interp.Run(prog));
 
   auto find_label = [&](const std::string& label) -> Result<size_t> {
     for (size_t i = 0; i < result.names.size(); ++i) {
@@ -1237,21 +1221,6 @@ Engine::CompressionStats Engine::compression_stats() const {
     s.cache_bytes += (*t)->CompressedCacheBytesTotal();
   }
   return s;
-}
-
-mal::RunStats Engine::last_run_stats() const {
-  std::lock_guard<std::mutex> lock(intro_mu_);
-  return last_stats_;
-}
-
-mal::PipelineReport Engine::last_opt_report() const {
-  std::lock_guard<std::mutex> lock(intro_mu_);
-  return last_opt_;
-}
-
-std::string Engine::last_plan_text() const {
-  std::lock_guard<std::mutex> lock(intro_mu_);
-  return last_plan_;
 }
 
 }  // namespace mammoth::sql

@@ -98,9 +98,6 @@ using SessionPtr = std::shared_ptr<Session>;
 /// AttachSharedScans()/EnableOptimizer() setup calls (do them before
 /// going concurrent — the attached recycler and scheduler themselves
 /// are internally synchronized and safe under concurrent sessions).
-/// The last_*() introspection accessors are internally synchronized
-/// but report *some* recent SELECT under concurrency, not a specific
-/// one.
 class Engine {
  public:
   Engine();
@@ -236,12 +233,6 @@ class Engine {
   /// string columns and hold BATs by shared_ptr.
   Status ResetCatalogForReplication(std::shared_ptr<Catalog> catalog);
 
-  /// Introspection for the last executed SELECT (by value: the fields
-  /// are mutex-guarded against concurrent SELECTs).
-  mal::RunStats last_run_stats() const;
-  mal::PipelineReport last_opt_report() const;
-  std::string last_plan_text() const;
-
   /// Compression posture of the catalog, gathered under the shared lock
   /// (safe against concurrent DDL/DML): how many tables carry the
   /// compression policy, how many columns are stored compressed, and the
@@ -352,12 +343,6 @@ class Engine {
   /// Readers (SELECT) shared, writers (DDL/DML) exclusive; see above.
   /// Mutable so const introspection (compression_stats) can share-lock.
   mutable std::shared_mutex rw_mu_;
-  /// Guards the last_* introspection fields (written under rw_mu_ held
-  /// shared, so they need their own lock).
-  mutable std::mutex intro_mu_;
-  mal::RunStats last_stats_;
-  mal::PipelineReport last_opt_;
-  std::string last_plan_;
 };
 
 }  // namespace mammoth::sql

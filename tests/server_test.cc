@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -16,6 +18,7 @@
 
 #include "common/rng.h"
 #include "core/table.h"
+#include "repl/repl_wire.h"
 #include "server/admission.h"
 #include "server/client.h"
 #include "server/wire.h"
@@ -716,10 +719,25 @@ class RawConn {
       }
       char chunk[64 * 1024];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return Status::TimedOut("recv(): no frame and no close");
+      }
       if (n <= 0) return Status::IOError("connection closed");
       buf_.append(chunk, static_cast<size_t>(n));
     }
   }
+
+  /// Bounds every later recv(), so a server that neither answers nor
+  /// closes fails ReadFrame() with kTimedOut instead of hanging.
+  void SetRecvTimeout(int millis) {
+    timeval tv{};
+    tv.tv_sec = millis / 1000;
+    tv.tv_usec = (millis % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
+  /// Half-close: the server reads EOF after the bytes already sent.
+  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
   /// Drains the socket; true when the server closed it (orderly EOF).
   bool ReadUntilEof() {
@@ -1015,35 +1033,6 @@ TEST_F(ServerTest, NonReadingPipelinedClientDoesNotBlockStop) {
   EXPECT_EQ(server_->stats().epoll_sessions, 0u);
 }
 
-/// The legacy thread-per-connection front-end stays available (it is the
-/// benchmark baseline) and speaks the full protocol, pipelining and
-/// prepared statements included — just without overlap.
-TEST_F(ServerTest, ThreadsFrontendStillServes) {
-  ServerConfig config;
-  config.frontend = ServerConfig::Frontend::kThreads;
-  StartServer(config);
-  const std::vector<std::string> expected = InProcessEncodings();
-  Client client = Connect();
-  auto remote = client.Query(Queries()[0]);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  auto encoded = EncodeResult(*remote);
-  ASSERT_TRUE(encoded.ok());
-  EXPECT_EQ(*encoded, expected[0]);
-
-  auto seq = client.QueryAsync(Queries()[1]);
-  ASSERT_TRUE(seq.ok());
-  auto async = client.Await(*seq);
-  ASSERT_TRUE(async.ok()) << async.status().ToString();
-  auto handle = client.Prepare("SELECT COUNT(*) FROM sensors");
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  auto prepared = client.ExecutePrepared(*handle, {});
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_EQ(prepared->columns[0]->ValueAt<int64_t>(0), kRows);
-
-  auto counters = ServerStatus(&client);
-  EXPECT_EQ(counters["epoll_sessions"], 0);
-}
-
 // ------------------------------------------- transactions over the wire --
 
 /// Each connection carries its own engine session: a transaction opened
@@ -1170,24 +1159,147 @@ TEST_F(ServerTest, OldClientRunsTransactionsWithPlainFrames) {
   EXPECT_TRUE(conn.ReadUntilEof());
 }
 
-/// The thread-per-connection front-end carries per-connection transaction
-/// state too (same engine-session plumbing as the reactor).
-TEST_F(ServerTest, ThreadsFrontendCarriesTransactions) {
-  ServerConfig config;
-  config.frontend = ServerConfig::Frontend::kThreads;
-  StartServer(config);
-  Client writer = Connect();
-  Client reader = Connect();
-  ASSERT_TRUE(writer.Begin().ok());
-  ASSERT_TRUE(
-      writer.Query("INSERT INTO sensors VALUES (9500, 8, 'lab')").ok());
-  auto hidden = reader.Query("SELECT COUNT(*) FROM sensors WHERE id = 9500");
-  ASSERT_TRUE(hidden.ok());
-  EXPECT_EQ(hidden->columns[0]->ValueAt<int64_t>(0), 0);
-  ASSERT_TRUE(writer.Rollback().ok());
-  auto still = reader.Query("SELECT COUNT(*) FROM sensors WHERE id = 9500");
-  ASSERT_TRUE(still.ok());
-  EXPECT_EQ(still->columns[0]->ValueAt<int64_t>(0), 0);
+/// Hostile bytes against the front-end. For every client frame type, a
+/// valid frame is cut short, re-framed around a truncated payload,
+/// bit-flipped, given an oversized length, or sent just before or after
+/// a BEGIN. Each connection must end in typed Error frames or EOF (never
+/// a hang, never a crash) and leave no session or transaction behind; a
+/// well-formed client then still gets in-process-identical answers.
+TEST_F(ServerTest, HostileFramesEndInErrorOrEofAndLeaveNoTrace) {
+  using server::FrameType;
+  StartServer();
+  const std::vector<std::string> expected = InProcessEncodings();
+  Client probe = Connect();
+  auto handle = probe.Prepare(
+      "SELECT id, temp FROM sensors WHERE temp >= ? AND temp <= ?");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  const std::vector<std::pair<FrameType, std::string>> valid = {
+      {FrameType::kQuery, Queries()[1]},
+      {FrameType::kQuerySeq, server::PrependSeq(3, Queries()[0])},
+      {FrameType::kExecute,
+       server::EncodeExecute(4, handle->stmt_id,
+                             {Value::Int(100), Value::Int(200)})},
+      {FrameType::kPrepare,
+       server::PrependSeq(5, "SELECT temp FROM sensors WHERE id = ?")},
+      {FrameType::kCaps,
+       server::EncodeCaps(server::kWireCapPipeline |
+                          server::kWireCapPrepared |
+                          server::kWireCapCompressedResults)},
+      {FrameType::kReplSubscribe, repl::EncodeSubscribe({})},
+      {FrameType::kClose, ""},
+  };
+  enum Mutation {
+    kTruncated,     // the byte stream stops mid-frame
+    kShortPayload,  // a well-formed header around a truncated payload
+    kBitFlip,       // one bit anywhere in header or payload
+    kOversized,     // a length past the payload, or past kMaxPayloadBytes
+    kBeforeBegin,   // the frame, then BEGIN, in one segment
+    kAfterBegin,    // BEGIN answered first, then the frame
+    kMutations
+  };
+  constexpr int kRepsPerCase = 3;
+  const std::string begin =
+      server::EncodeFrame(FrameType::kQuery, "BEGIN");
+  Rng rng(0x5eed14);
+  for (const auto& [type, payload] : valid) {
+    const std::string frame = server::EncodeFrame(type, payload);
+    for (int m = 0; m < kMutations; ++m) {
+      for (int rep = 0; rep < kRepsPerCase; ++rep) {
+        SCOPED_TRACE("frame type " + std::to_string(static_cast<int>(type)) +
+                     ", mutation " + std::to_string(m) + ", rep " +
+                     std::to_string(rep));
+        std::string bytes = frame;
+        switch (m) {
+          case kTruncated:
+            bytes.resize(1 + rng.Uniform(frame.size() - 1));
+            break;
+          case kShortPayload:
+            bytes = server::EncodeFrame(
+                type, payload.substr(0, payload.empty()
+                                            ? 0
+                                            : rng.Uniform(payload.size())));
+            break;
+          case kBitFlip:
+            bytes[rng.Uniform(bytes.size())] ^=
+                static_cast<char>(1u << rng.Uniform(8));
+            break;
+          case kOversized: {
+            const uint64_t len =
+                rng.Uniform(2) == 0
+                    ? server::kMaxPayloadBytes + 1 + rng.Uniform(1u << 20)
+                    : payload.size() + 1 + rng.Uniform(64);
+            for (int i = 0; i < 4; ++i) {  // little-endian length field
+              bytes[8 + i] = static_cast<char>(len >> (8 * i));
+            }
+            break;
+          }
+          case kBeforeBegin:
+            bytes += begin;
+            break;
+          default:
+            break;
+        }
+        RawConn conn = RawConn::Open(server_->port());
+        conn.SetRecvTimeout(10000);
+        conn.ExpectHello();
+        if (m == kAfterBegin) {
+          conn.Send(begin);
+          auto begun = conn.ReadFrame();
+          ASSERT_TRUE(begun.ok()) << begun.status().ToString();
+          ASSERT_EQ(begun->type, FrameType::kResult);
+        }
+        conn.Send(bytes);
+        conn.ShutdownWrite();
+        while (true) {
+          auto reply = conn.ReadFrame();
+          if (!reply.ok()) {
+            // EOF or a reset ends the connection; a timeout is a hang,
+            // and undecodable bytes from the server are a server bug.
+            ASSERT_EQ(reply.status().code(), StatusCode::kIOError)
+                << reply.status().ToString();
+            break;
+          }
+          switch (reply->type) {
+            case FrameType::kResult:
+            case FrameType::kResultSeq:
+            case FrameType::kPrepared:
+              break;
+            case FrameType::kError:
+              ASSERT_TRUE(server::DecodeError(reply->payload).ok());
+              break;
+            case FrameType::kErrorSeq: {
+              auto sp = server::SplitSeq(reply->payload);
+              ASSERT_TRUE(sp.ok());
+              ASSERT_TRUE(server::DecodeError(sp->rest).ok());
+              break;
+            }
+            default:
+              FAIL() << "unexpected frame type "
+                     << static_cast<int>(reply->type);
+          }
+        }
+      }
+    }
+  }
+
+  // Disconnect auto-rollbacks run on a worker after the close: poll.
+  std::map<std::string, int64_t> counters;
+  for (int i = 0; i < 1000; ++i) {
+    counters = ServerStatus(&probe);
+    if (counters["sessions_open"] == 1 && counters["txn_active"] == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(counters["sessions_open"], 1);
+  EXPECT_EQ(counters["epoll_sessions"], 1);
+  EXPECT_EQ(counters["txn_active"], 0);
+  for (size_t q = 0; q < Queries().size(); ++q) {
+    auto remote = probe.Query(Queries()[q]);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    auto encoded = EncodeResult(*remote);
+    ASSERT_TRUE(encoded.ok());
+    EXPECT_EQ(*encoded, expected[q]) << Queries()[q];
+  }
 }
 
 }  // namespace

@@ -42,13 +42,17 @@ TEST_F(SqlEngineTest, SelectStar) {
 }
 
 TEST_F(SqlEngineTest, RangePredicatesGetFused) {
-  auto r = engine_.Execute(
-      "SELECT name FROM people WHERE age >= 1900 AND age <= 1930");
+  const std::string q =
+      "SELECT name FROM people WHERE age >= 1900 AND age <= 1930";
+  auto r = engine_.Execute(q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->RowCount(), 3u);
-  EXPECT_GE(engine_.last_opt_report().fused, 1u);
-  EXPECT_NE(engine_.last_plan_text().find("algebra.select"),
-            std::string::npos);
+  auto stmt = Parse(q);
+  ASSERT_TRUE(stmt.ok());
+  auto prog = engine_.Compile(std::get<SelectStmt>(*stmt));
+  ASSERT_TRUE(prog.ok());
+  EXPECT_GE(mal::OptimizePipeline(&*prog).fused, 1u);
+  EXPECT_NE(prog->ToString().find("algebra.select"), std::string::npos);
 }
 
 TEST_F(SqlEngineTest, StringPredicate) {
@@ -217,10 +221,11 @@ TEST_F(SqlEngineTest, RecyclerSpeedsRepeatedQueries) {
   ASSERT_TRUE(
       engine_.Execute("SELECT sum(salary) FROM people WHERE age >= 1900")
           .ok());
+  const size_t hits_before = engine_.recycler_stats().hits;
   ASSERT_TRUE(
       engine_.Execute("SELECT sum(salary) FROM people WHERE age >= 1900")
           .ok());
-  EXPECT_GT(engine_.last_run_stats().recycled, 0u);
+  EXPECT_GT(engine_.recycler_stats().hits, hits_before);
 }
 
 // ----------------------------------------------------------- Parser-only --
